@@ -5,16 +5,35 @@
 //! Every simulated entity (an MPI rank, an SRB server connection handler, a
 //! SEMPLAR I/O thread) is a **real OS thread** registered with the engine as
 //! an *actor*. Actors may only block through the engine — via
-//! [`Runtime::sleep`], or by waiting on an engine-created [`Event`]. The
-//! engine keeps a count of *runnable* actors; when the last runnable actor
-//! blocks, the virtual clock jumps to the earliest pending timer and the
-//! corresponding sleepers are released. Virtual time therefore advances in
-//! discrete hops and never passes while any actor still has work to do.
+//! [`Runtime::sleep`], or by waiting on an engine-created [`Event`].
+//!
+//! # The baton
+//!
+//! Exactly one actor runs at a time: the one holding the engine's *baton*.
+//! Every other actor is parked on its own condition variable, either
+//! blocked (waiting for a signal or a timer) or *ready* (woken, queued in a
+//! FIFO for its turn). When the holder blocks or exits it hands the baton to
+//! the head of the ready queue and notifies that one actor only. When the
+//! ready queue is empty the virtual clock jumps to the earliest pending
+//! timer, and the sleepers due at that instant enter the ready queue in
+//! `(due time, arm order)`. Virtual time therefore advances in discrete
+//! hops and never passes while any actor still has work to do.
+//!
+//! The baton makes a run a pure function of its inputs: the order of every
+//! side effect at one virtual instant is fixed by wake order, not by the
+//! host's thread scheduler. A freshly spawned actor joins the ready queue
+//! and does not run its body until it is handed the baton, so a spawner
+//! keeps running until it blocks.
+//!
+//! The price is one rule for library code: **never hold a plain `Mutex`
+//! across an engine wait** (see [`crate::sync`]). Another actor that tries
+//! to take that lock would block its OS thread while holding the baton,
+//! and the whole simulation would hang.
 //!
 //! If every actor is blocked and no timer is pending, the simulation has
-//! genuinely deadlocked; the engine panics with a table of every actor and
-//! what it is blocked on, then poisons itself so all other actors unwind
-//! too.
+//! genuinely deadlocked; the engine panics with a table of the baton, the
+//! ready queue, every actor and what it is blocked on, then poisons itself
+//! so all other actors unwind too.
 //!
 //! # Why threads rather than an event loop?
 //!
@@ -26,7 +45,7 @@
 //! tests, examples) without modification.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering as AtOrd};
 use std::sync::Arc;
@@ -148,7 +167,7 @@ impl Choice {
 /// A pluggable scheduler for systematic exploration.
 ///
 /// When installed via [`SimRuntime::set_schedule_hook`], the engine stops
-/// waking same-window timers all at once in timestamp order. Instead, at
+/// releasing same-instant timers all at once in timestamp order. Instead, at
 /// every instant where the clock must advance it collects *every* pending
 /// event due within `window` of the earliest one and asks the hook which
 /// to fire next; the chosen actor runs until it blocks again, then the
@@ -169,7 +188,8 @@ pub trait ScheduleHook: Send + Sync {
 
 struct ActorInfo {
     name: String,
-    /// True while the actor counts toward `runnable`.
+    /// True while the actor is runnable: holding the baton or queued in
+    /// `ready`.
     counted: bool,
     /// What the actor is blocked on, for deadlock diagnostics.
     blocked_on: Option<&'static str>,
@@ -177,18 +197,25 @@ struct ActorInfo {
     /// request channel) do not keep the simulation alive: when only daemons
     /// remain blocked and no timer is pending, they are unwound cleanly.
     daemon: bool,
+    /// Where this actor's thread parks until it is handed the baton.
+    cv: Arc<Condvar>,
 }
 
 #[derive(Default)]
 struct EngineState {
     now: u64,
-    runnable: usize,
     actors: HashMap<u64, ActorInfo>,
     next_actor: u64,
+    /// Runnable actors waiting for the baton, in wake order.
+    ready: VecDeque<u64>,
+    /// The baton: the one actor allowed to run. `None` before the first
+    /// spawn, after the last exit, and once the engine is poisoned.
+    running: Option<u64>,
     timers: BinaryHeap<TimerEntry>,
     next_seq: u64,
-    /// Every currently blocked slot, so a poisoned engine can wake them all.
-    blocked_slots: HashMap<u64, Arc<WaitSlot>>,
+    /// Every currently blocked slot, in block order, so quiescence and
+    /// poisoning release them deterministically.
+    blocked_slots: BTreeMap<u64, Arc<WaitSlot>>,
     next_slot: u64,
     poisoned: bool,
     /// Human-readable cause of the poisoning (first panic / deadlock).
@@ -204,11 +231,12 @@ struct EngineState {
     live_tasks: usize,
     /// Largest number of simultaneously live event-driven tasks.
     peak_live_tasks: usize,
-    /// Systematic-exploration scheduler, if installed. `None` keeps the
-    /// engine on the plain wake-everything-at-the-instant path.
+    /// Systematic-exploration scheduler, if installed. `None` releases
+    /// every timer due at the earliest instant at once.
     hook: Option<Arc<dyn ScheduleHook>>,
     /// Eligibility window (ns): pending events within this much of the
-    /// earliest one are presented together as one choice point.
+    /// earliest one are presented together as one choice point. Zero
+    /// without a hook.
     hook_window: u64,
     /// Events pulled into an eligible set but not yet fired (the hook
     /// deferred them past their due time).
@@ -221,7 +249,25 @@ struct EngineState {
 
 struct Engine {
     state: Mutex<EngineState>,
+    /// Signalled when the last actor exits; only [`SimRuntime::wait_done`]
+    /// waits on it. Actors park on their own [`ActorInfo::cv`].
     cond: Condvar,
+}
+
+/// Mark `slot` woken and queue its actor for the baton. Only the first wake
+/// of a slot counts; the actor runs when the baton reaches it.
+fn wake_locked(st: &mut EngineState, slot: &Arc<WaitSlot>, reason: u8) {
+    if slot.is_woken() {
+        return;
+    }
+    slot.state.store(reason, AtOrd::Relaxed);
+    if let Some(info) = st.actors.get_mut(&slot.actor) {
+        if !info.counted {
+            info.counted = true;
+            info.blocked_on = None;
+            st.ready.push_back(slot.actor);
+        }
+    }
 }
 
 impl Engine {
@@ -234,80 +280,41 @@ impl Engine {
         })
     }
 
-    fn wake_locked(&self, st: &mut EngineState, slot: &Arc<WaitSlot>, reason: u8) {
-        if slot.is_woken() {
-            return;
+    /// The baton holder is blocking or exiting (or nobody holds it): hand
+    /// the baton to the head of the ready queue, advancing the clock first
+    /// if nobody is ready, and notify that one actor.
+    fn pass_baton_locked(&self, st: &mut EngineState) {
+        if st.ready.is_empty() {
+            // `running` still names the releasing actor here, so a
+            // deadlock report can say who blocked last.
+            self.advance_locked(st);
         }
-        slot.state.store(reason, AtOrd::Relaxed);
-        if let Some(info) = st.actors.get_mut(&slot.actor) {
-            if !info.counted {
-                info.counted = true;
-                info.blocked_on = None;
-                st.runnable += 1;
-            }
+        st.running = st.ready.pop_front();
+        if let Some(info) = st.running.and_then(|id| st.actors.get(&id)) {
+            info.cv.notify_one();
         }
-        self.cond.notify_all();
     }
 
-    /// Advance the clock while no actor is runnable. Must be called with the
-    /// lock held, immediately after decrementing `runnable`.
+    /// Nobody is ready: collect the pending events due within the
+    /// eligibility window of the earliest one, sorted by
+    /// `(effective time, arm order)`, and release them into the ready
+    /// queue. With no hook the window is zero and the whole instant is
+    /// released; with a hook only the event the [`ScheduleHook`] picks
+    /// fires, and the rest stay eligible (they fire late, at the chosen
+    /// event's time) — exactly the delivery-order freedom a message-level
+    /// model checker explores.
     fn advance_locked(&self, st: &mut EngineState) {
-        match st.hook.clone() {
-            None => self.advance_plain_locked(st),
-            Some(hook) => self.advance_hooked_locked(st, &hook),
-        }
-        if st.actors.is_empty() {
-            // Simulation finished; release anyone in wait_done().
-            self.cond.notify_all();
-        }
-    }
-
-    /// The default schedule: jump to the earliest pending timer and wake
-    /// every waiter due at exactly that instant at once.
-    fn advance_plain_locked(&self, st: &mut EngineState) {
-        while st.runnable == 0 && !st.actors.is_empty() {
+        while st.ready.is_empty() && !st.actors.is_empty() {
             // Drop timers whose waiters were already woken by a signal.
-            while st.timers.peek().map(|e| e.slot.is_woken()).unwrap_or(false) {
+            st.deferred.retain(|e| !e.slot.is_woken());
+            while st.timers.peek().is_some_and(|e| e.slot.is_woken()) {
                 st.timers.pop();
             }
             // Daemons do not keep the simulation alive: once every
             // non-daemon actor has exited, a daemon's pending timer (a
             // heartbeat loop, a periodic monitor) must not advance the
             // clock forever. Unwind instead.
-            if st.timers.peek().is_none() || st.actors.values().all(|a| a.daemon) {
-                self.quiesce_or_deadlock_locked(st);
-                return;
-            }
-            let t = st.timers.peek().expect("checked above").at;
-            debug_assert!(t >= st.now, "timer in the past");
-            st.now = t;
-            st.clock_advances += 1;
-            while let Some(e) = st.timers.peek() {
-                if e.at != t {
-                    break;
-                }
-                let e = st.timers.pop().expect("peeked");
-                let slot = e.slot;
-                self.wake_locked(st, &slot, SLOT_TIMEOUT);
-            }
-        }
-    }
-
-    /// The exploration schedule: collect every pending event due within
-    /// `hook_window` of the earliest, let the [`ScheduleHook`] pick one,
-    /// fire only that, and re-collect when the woken actor blocks again.
-    /// Events the hook passes over stay eligible (they fire late, at the
-    /// chosen event's time) — that is exactly the delivery-order freedom a
-    /// message-level model checker explores.
-    fn advance_hooked_locked(&self, st: &mut EngineState, hook: &Arc<dyn ScheduleHook>) {
-        while st.runnable == 0 && !st.actors.is_empty() {
-            st.deferred.retain(|e| !e.slot.is_woken());
-            while st.timers.peek().map(|e| e.slot.is_woken()).unwrap_or(false) {
-                st.timers.pop();
-            }
-            // As in the plain schedule: pending daemon timers must not keep
-            // a finished simulation spinning.
-            if (st.deferred.is_empty() && st.timers.peek().is_none())
+            if (st.deferred.is_empty() && st.timers.is_empty())
                 || st.actors.values().all(|a| a.daemon)
             {
                 self.quiesce_or_deadlock_locked(st);
@@ -316,14 +323,15 @@ impl Engine {
             // Earliest effective wake time over every pending event; a
             // deferred event's due time may be in the past, in which case
             // it would fire "now".
-            let heap_min = st.timers.peek().map(|e| e.at);
-            let def_min = st.deferred.iter().map(|e| e.at.max(st.now)).min();
-            let base = match (heap_min, def_min) {
-                (Some(h), Some(d)) => h.min(d),
-                (Some(h), None) => h,
-                (None, Some(d)) => d,
-                (None, None) => unreachable!("pending set checked non-empty"),
-            };
+            let now = st.now;
+            let base = st
+                .timers
+                .peek()
+                .map(|e| e.at)
+                .into_iter()
+                .chain(st.deferred.iter().map(|e| e.at.max(now)))
+                .min()
+                .expect("pending set checked non-empty");
             let cutoff = base.saturating_add(st.hook_window);
             while let Some(e) = st.timers.peek() {
                 if e.slot.is_woken() {
@@ -337,44 +345,55 @@ impl Engine {
                 st.deferred.push(e);
             }
             // Deterministic presentation order: index 0 is always what the
-            // default schedule would fire next.
-            let now = st.now;
+            // default schedule fires first.
             st.deferred.sort_by_key(|e| (e.at.max(now), e.seq));
-            let idx = if st.deferred.len() == 1 {
-                0
-            } else {
-                let eligible: Vec<Choice> = st
-                    .deferred
-                    .iter()
-                    .map(|e| {
-                        let info = st.actors.get(&e.slot.actor);
-                        Choice {
-                            actor: info.map(|a| a.name.clone()).unwrap_or_default(),
-                            blocked_on: info.and_then(|a| a.blocked_on).unwrap_or("(exiting)"),
-                            at: Time(e.at.max(now)),
-                            tag: e.slot.tag.clone(),
-                        }
-                    })
-                    .collect();
-                st.choice_points += 1;
-                st.choice_alternatives += eligible.len() as u64;
-                let fp = fingerprint_locked(st);
-                let i = hook.choose(Time(now), fp, &eligible);
-                assert!(
-                    i < eligible.len(),
-                    "ScheduleHook chose {i} of {} eligible events",
-                    eligible.len()
-                );
-                i
+            let fire = match st.hook.clone() {
+                None => 0..st.deferred.len(),
+                Some(_) if st.deferred.len() == 1 => 0..1,
+                Some(hook) => {
+                    let i = self.choose_locked(st, &*hook);
+                    i..i + 1
+                }
             };
-            let e = st.deferred.remove(idx);
-            let t = e.at.max(st.now);
-            if t > st.now {
+            let t = st.deferred[fire.start].at.max(now);
+            if t > now {
                 st.now = t;
                 st.clock_advances += 1;
             }
-            self.wake_locked(st, &e.slot, SLOT_TIMEOUT);
+            let fired: Vec<TimerEntry> = st.deferred.drain(fire).collect();
+            for e in fired {
+                wake_locked(st, &e.slot, SLOT_TIMEOUT);
+            }
         }
+    }
+
+    /// Present the (sorted, ≥ 2) eligible set to `hook` and return the
+    /// index it picks.
+    fn choose_locked(&self, st: &mut EngineState, hook: &dyn ScheduleHook) -> usize {
+        let now = st.now;
+        let eligible: Vec<Choice> = st
+            .deferred
+            .iter()
+            .map(|e| {
+                let info = st.actors.get(&e.slot.actor);
+                Choice {
+                    actor: info.map(|a| a.name.clone()).unwrap_or_default(),
+                    blocked_on: info.and_then(|a| a.blocked_on).unwrap_or("(exiting)"),
+                    at: Time(e.at.max(now)),
+                    tag: e.slot.tag.clone(),
+                }
+            })
+            .collect();
+        st.choice_points += 1;
+        st.choice_alternatives += eligible.len() as u64;
+        let fp = fingerprint_locked(st);
+        let i = hook.choose(Time(now), fp, &eligible);
+        assert!(
+            i < eligible.len(),
+            "ScheduleHook chose {i} of {} eligible events",
+            eligible.len()
+        );
+        i
     }
 
     /// No pending event and nobody runnable: unwind cleanly if only parked
@@ -382,14 +401,19 @@ impl Engine {
     fn quiesce_or_deadlock_locked(&self, st: &mut EngineState) {
         if st.actors.values().all(|a| a.daemon) {
             // Quiescence: only parked daemons remain. Unwind them
-            // cleanly; the simulation is complete.
+            // cleanly, in block order; the simulation is complete.
             let slots: Vec<_> = st.blocked_slots.values().cloned().collect();
             for s in slots {
-                self.wake_locked(st, &s, SLOT_SHUTDOWN);
+                wake_locked(st, &s, SLOT_SHUTDOWN);
             }
             return;
         }
-        let mut table = String::new();
+        let baton = match st.running.map(|id| (id, st.actors.get(&id))) {
+            Some((id, Some(a))) => format!("actor #{id} {:?} (releasing it)", a.name),
+            Some((id, None)) => format!("actor #{id} (exiting, releasing it)"),
+            None => "free".to_string(),
+        };
+        let mut table = format!("\n  baton: {baton}\n  ready: {:?}", st.ready);
         let mut actors: Vec<_> = st.actors.iter().collect();
         actors.sort_by_key(|(id, _)| **id);
         for (id, a) in actors {
@@ -407,6 +431,8 @@ impl Engine {
         panic!("{msg}");
     }
 
+    /// Poison the engine and release every actor — blocked, ready, or
+    /// waiting for its first baton — so all of them unwind.
     fn poison_locked(&self, st: &mut EngineState, cause: &str) {
         if !st.poisoned {
             st.poisoned = true;
@@ -414,9 +440,20 @@ impl Engine {
         }
         let slots: Vec<_> = st.blocked_slots.values().cloned().collect();
         for s in slots {
-            self.wake_locked(st, &s, SLOT_SIGNALED);
+            wake_locked(st, &s, SLOT_SIGNALED);
         }
-        self.cond.notify_all();
+        st.running = None;
+        for a in st.actors.values() {
+            a.cv.notify_one();
+        }
+    }
+
+    /// Park the calling thread until actor `me` holds the baton or the
+    /// engine is poisoned.
+    fn await_baton_locked(st: &mut MutexGuard<'_, EngineState>, me: u64, cv: &Condvar) {
+        while st.running != Some(me) && !st.poisoned {
+            cv.wait(st);
+        }
     }
 
     /// Block the current actor on `slot`, with the engine lock already held.
@@ -430,10 +467,15 @@ impl Engine {
         if st.poisoned {
             panic!("simulation poisoned: {}", st.poison_cause);
         }
+        debug_assert_eq!(
+            st.running,
+            Some(slot.actor),
+            "actor blocked without holding the baton"
+        );
         let slot_id = st.next_slot;
         st.next_slot += 1;
         st.blocked_slots.insert(slot_id, slot.clone());
-        {
+        let cv = {
             let info = st
                 .actors
                 .get_mut(&slot.actor)
@@ -441,14 +483,10 @@ impl Engine {
             debug_assert!(info.counted, "actor blocked twice");
             info.counted = false;
             info.blocked_on = Some(why);
-        }
-        st.runnable -= 1;
-        if st.runnable == 0 {
-            self.advance_locked(st);
-        }
-        while !slot.is_woken() {
-            self.cond.wait(st);
-        }
+            info.cv.clone()
+        };
+        self.pass_baton_locked(st);
+        Self::await_baton_locked(st, slot.actor, &cv);
         st.blocked_slots.remove(&slot_id);
         if st.poisoned {
             panic!("simulation poisoned: {}", st.poison_cause);
@@ -470,8 +508,8 @@ impl Engine {
 
     fn schedule_point(&self, tag: &str) {
         let mut st = self.state.lock();
-        // Without a hook this is free: no timer, no serialization, the
-        // default path stays bit-identical.
+        // Without a hook this is free: no timer, no handoff, the default
+        // schedule stays bit-identical.
         if st.hook.is_none() {
             return;
         }
@@ -483,15 +521,15 @@ impl Engine {
 
     fn actor_exit(&self, id: u64) {
         let mut st = self.state.lock();
-        if let Some(info) = st.actors.remove(&id) {
-            if info.counted {
-                st.runnable -= 1;
-            }
+        st.actors.remove(&id);
+        if !st.poisoned {
+            debug_assert_eq!(st.running, Some(id), "actor exited without the baton");
+            self.pass_baton_locked(&mut st);
         }
-        if st.runnable == 0 {
-            self.advance_locked(&mut st);
+        if st.actors.is_empty() {
+            // Simulation finished; release anyone in wait_done().
+            self.cond.notify_all();
         }
-        self.cond.notify_all();
     }
 }
 
@@ -746,6 +784,7 @@ impl SimRuntime {
     ) -> JoinHandle {
         let done = self.event();
         let (mut handle, exit) = JoinHandle::new(done);
+        let cv = Arc::new(Condvar::new());
         let id = {
             let mut st = self.eng.state.lock();
             if st.poisoned {
@@ -760,11 +799,17 @@ impl SimRuntime {
                     counted: true,
                     blocked_on: None,
                     daemon,
+                    cv: cv.clone(),
                 },
             );
-            st.runnable += 1;
+            st.ready.push_back(id);
             st.actors_spawned += 1;
             st.max_actors = st.max_actors.max(st.actors.len());
+            // Spawned from outside the simulation (the root, or a harness
+            // thread): nobody holds the baton to pass it on later.
+            if st.running.is_none() {
+                self.eng.pass_baton_locked(&mut st);
+            }
             id
         };
         let eng = self.eng.clone();
@@ -772,7 +817,18 @@ impl SimRuntime {
             .name(format!("sim:{name}"))
             .spawn(move || {
                 CURRENT_ACTOR.with(|c| c.set(Some(id)));
-                let r = catch_unwind(AssertUnwindSafe(f));
+                let r = catch_unwind(AssertUnwindSafe(|| {
+                    {
+                        // The body runs only once the spawner has blocked
+                        // and the baton reaches us.
+                        let mut st = eng.state.lock();
+                        Engine::await_baton_locked(&mut st, id, &cv);
+                        if st.poisoned {
+                            panic!("simulation poisoned: {}", st.poison_cause);
+                        }
+                    }
+                    f()
+                }));
                 let payload = match r {
                     Ok(()) => None,
                     Err(p) if p.is::<ShutdownSignal>() => None, // clean daemon unwind
@@ -865,7 +921,7 @@ impl EventApi for SimEvent {
             match inner.waiters.pop_front() {
                 Some(w) if w.is_woken() => continue, // raced with a timeout
                 Some(w) => {
-                    self.eng.wake_locked(&mut st, &w, SLOT_SIGNALED);
+                    wake_locked(&mut st, &w, SLOT_SIGNALED);
                     return;
                 }
                 None => {
@@ -880,7 +936,7 @@ impl EventApi for SimEvent {
         let mut st = self.eng.state.lock();
         let mut inner = self.inner.lock();
         while let Some(w) = inner.waiters.pop_front() {
-            self.eng.wake_locked(&mut st, &w, SLOT_SIGNALED);
+            wake_locked(&mut st, &w, SLOT_SIGNALED);
         }
     }
 }
@@ -1095,6 +1151,31 @@ mod tests {
     }
 
     #[test]
+    fn deadlock_report_names_the_baton_and_the_ready_queue() {
+        let err = catch_unwind(|| {
+            simulate(|rt| {
+                let ev = rt.event();
+                let ev2 = ev.clone();
+                let _stuck = spawn(&rt, "stuck", move || ev2.wait());
+                ev.wait();
+            })
+        })
+        .unwrap_err();
+        let msg = err.downcast_ref::<String>().expect("formatted panic");
+        assert!(msg.contains("baton: actor #"), "{msg}");
+        assert!(msg.contains("(releasing it)"), "{msg}");
+        assert!(msg.contains("ready: []"), "{msg}");
+        assert!(
+            msg.contains(r#"actor #0 "root": blocked on event wait"#),
+            "{msg}"
+        );
+        assert!(
+            msg.contains(r#"actor #1 "stuck": blocked on event wait"#),
+            "{msg}"
+        );
+    }
+
+    #[test]
     fn many_actors_interleave_consistently() {
         // 20 actors each sleep 10 times; total virtual time is the max, and
         // every actor observes monotonically non-decreasing time.
@@ -1191,14 +1272,9 @@ mod tests {
 
     #[test]
     fn hook_default_choice_reproduces_plain_order() {
-        let (mut plain, pstats) = ordered_sleepers(None, vec![30, 10, 10, 20]);
-        let (mut hooked, hstats) =
+        let (plain, pstats) = ordered_sleepers(None, vec![30, 10, 10, 20]);
+        let (hooked, hstats) =
             ordered_sleepers(Some((Arc::new(PickFirst), Dur::ZERO)), vec![30, 10, 10, 20]);
-        // The plain schedule wakes same-instant sleepers together and lets
-        // their OS threads race to the log; normalize simultaneous entries
-        // so the comparison pins the schedule, not the thread lottery.
-        plain.sort_by_key(|&(i, t)| (t, i));
-        hooked.sort_by_key(|&(i, t)| (t, i));
         assert_eq!(
             plain, hooked,
             "picking index 0 must be the default schedule"
@@ -1208,6 +1284,70 @@ mod tests {
         // with two alternatives.
         assert_eq!(hstats.choice_points, 1);
         assert_eq!(hstats.choice_alternatives, 2);
+    }
+
+    /// 16 actors sleep to one instant, then pass a signal along a ring.
+    /// Returns the log of who woke and who received its signal, in order.
+    fn same_instant_chain() -> Vec<(&'static str, usize)> {
+        const N: usize = 16;
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let l2 = log.clone();
+        simulate(move |rt| {
+            let evs: Vec<Event> = (0..N).map(|_| rt.event()).collect();
+            let mut hs = Vec::new();
+            for i in 0..N {
+                let (rt2, evs, log) = (rt.clone(), evs.clone(), l2.clone());
+                hs.push(spawn(&rt, &format!("c{i}"), move || {
+                    rt2.sleep(Dur::from_micros(10));
+                    log.lock().push(("woke", i));
+                    evs[(i + 1) % N].signal();
+                    evs[i].wait();
+                    log.lock().push(("got", i));
+                }));
+            }
+            for h in hs {
+                h.join_unwrap();
+            }
+        });
+        let got = log.lock().clone();
+        got
+    }
+
+    #[test]
+    fn same_instant_wakes_run_in_arm_order_every_time() {
+        let first = same_instant_chain();
+        let woke: Vec<usize> = first
+            .iter()
+            .filter(|(what, _)| *what == "woke")
+            .map(|&(_, i)| i)
+            .collect();
+        assert_eq!(woke, (0..16).collect::<Vec<_>>(), "wake order is arm order");
+        for run in 1..100 {
+            assert_eq!(same_instant_chain(), first, "run {run} diverged");
+        }
+    }
+
+    #[test]
+    fn spawned_actor_waits_for_its_spawner_to_block() {
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let l2 = log.clone();
+        simulate(move |rt| {
+            let (started_tx, started_rx) = std::sync::mpsc::channel();
+            let (rt2, l3) = (rt.clone(), l2.clone());
+            let h = spawn(&rt, "child", move || {
+                let _ = started_tx.send(());
+                l3.lock().push(("child runs", rt2.now()));
+            });
+            // A child that ran without the baton would announce itself here.
+            let early = started_rx.recv_timeout(std::time::Duration::from_millis(20));
+            assert!(early.is_err(), "child ran before its spawner blocked");
+            l2.lock().push(("spawner blocks", rt.now()));
+            h.join_unwrap();
+        });
+        assert_eq!(
+            *log.lock(),
+            vec![("spawner blocks", Time::ZERO), ("child runs", Time::ZERO)]
+        );
     }
 
     #[test]

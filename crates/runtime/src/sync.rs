@@ -4,6 +4,26 @@
 //! [`Event`] cells with *re-check loops*, so the same code is correct on both
 //! the virtual-time and wall-clock backends (events may wake spuriously via
 //! broadcasts).
+//!
+//! # The locking rule
+//!
+//! **Never hold a plain `Mutex` across an engine wait** — a
+//! [`Runtime::sleep`], an [`Event`] wait, or anything built on them
+//! (`Channel::recv`, `Semaphore::acquire`, a join, a synchronous network
+//! transfer). Take the lock, read or update the shared state, drop the
+//! guard, and only then block. A critical section that must wait takes an
+//! [`RtMutex`] instead, whose contenders block through the engine. The
+//! primitives below follow the rule internally: each releases its own lock
+//! before waiting on its event.
+//!
+//! Under virtual time only one actor runs at a time: the holder of the
+//! engine's baton (see [`SimRuntime`](crate::SimRuntime)). An actor that
+//! blocks through the engine while holding a lock hands the baton on. If
+//! the next actor then takes the same lock, it blocks its OS thread *while
+//! holding the baton*, and nothing can ever run again. Breaking the rule is
+//! therefore a hang, not a slowdown. Short critical sections that never
+//! wait — a catalog lookup, a counter bump, an `Event::signal` — are always
+//! fine.
 
 use std::collections::VecDeque;
 use std::sync::Arc;

@@ -39,6 +39,27 @@ pub struct Mcat {
     inner: Mutex<McatInner>,
 }
 
+impl McatInner {
+    /// Insert a fresh object record at `path` (already validated).
+    fn insert_obj(&mut self, path: &str, resource: &str) -> SrbResult<&ObjRecord> {
+        if self.objects.contains_key(path) || self.collections.contains(path) {
+            return Err(SrbError::AlreadyExists(path.to_string()));
+        }
+        let parent = parent_of(path).ok_or_else(|| SrbError::InvalidArg(path.to_string()))?;
+        if !self.collections.contains(parent) {
+            return Err(SrbError::NoSuchCollection(parent.to_string()));
+        }
+        let id = self.next_obj;
+        self.next_obj += 1;
+        Ok(self.objects.entry(path.to_string()).or_insert(ObjRecord {
+            obj_id: id,
+            size: 0,
+            resource: resource.to_string(),
+            replicas: 1,
+        }))
+    }
+}
+
 fn parent_of(path: &str) -> Option<&str> {
     let p = path.rfind('/')?;
     Some(if p == 0 { "/" } else { &path[..p] })
@@ -121,26 +142,20 @@ impl Mcat {
     /// Register a new data object on `resource`, returning its vault id.
     pub fn create_obj(&self, path: &str, resource: &str) -> SrbResult<u64> {
         validate(path)?;
+        Ok(self.inner.lock().insert_obj(path, resource)?.obj_id)
+    }
+
+    /// Open-or-create in one step: the record at `path`, registering a new
+    /// one on `resource` if none exists. The flag is `true` when this call
+    /// created it. Both steps run under one catalog lock, so sessions racing
+    /// to create the same path all get the same object.
+    pub fn create_or_lookup(&self, path: &str, resource: &str) -> SrbResult<(ObjRecord, bool)> {
+        validate(path)?;
         let mut g = self.inner.lock();
-        if g.objects.contains_key(path) || g.collections.contains(path) {
-            return Err(SrbError::AlreadyExists(path.to_string()));
+        match g.objects.get(path) {
+            Some(rec) => Ok((rec.clone(), false)),
+            None => Ok((g.insert_obj(path, resource)?.clone(), true)),
         }
-        let parent = parent_of(path).ok_or_else(|| SrbError::InvalidArg(path.to_string()))?;
-        if !g.collections.contains(parent) {
-            return Err(SrbError::NoSuchCollection(parent.to_string()));
-        }
-        let id = g.next_obj;
-        g.next_obj += 1;
-        g.objects.insert(
-            path.to_string(),
-            ObjRecord {
-                obj_id: id,
-                size: 0,
-                resource: resource.to_string(),
-                replicas: 1,
-            },
-        );
-        Ok(id)
     }
 
     /// Look up a data object.
@@ -260,6 +275,32 @@ mod tests {
             m.create_obj("/c/x", "r"),
             Err(SrbError::AlreadyExists(_))
         ));
+    }
+
+    #[test]
+    fn racing_create_or_lookup_yields_one_object() {
+        const N: usize = 8;
+        let m = std::sync::Arc::new(Mcat::new());
+        m.mk_coll("/c").unwrap();
+        let start = std::sync::Arc::new(std::sync::Barrier::new(N));
+        let racers: Vec<_> = (0..N)
+            .map(|_| {
+                let (m, start) = (m.clone(), start.clone());
+                std::thread::spawn(move || {
+                    start.wait();
+                    m.create_or_lookup("/c/x", "r").unwrap()
+                })
+            })
+            .collect();
+        let got: Vec<(ObjRecord, bool)> = racers.into_iter().map(|h| h.join().unwrap()).collect();
+        let id = got[0].0.obj_id;
+        assert!(
+            got.iter().all(|(r, _)| r.obj_id == id),
+            "racers saw different objects"
+        );
+        assert_eq!(got.iter().filter(|(_, created)| *created).count(), 1);
+        assert_eq!(m.list("/c").unwrap(), vec!["/c/x"]);
+        assert_eq!(m.lookup("/c/x").unwrap().obj_id, id);
     }
 
     #[test]

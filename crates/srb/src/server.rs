@@ -788,14 +788,14 @@ impl SrbServer {
                 Ok((Response::Ok, None))
             }
             Request::Open(p, flags) => {
-                let rec = match self.mcat.lookup(&p) {
-                    Ok(r) => r,
-                    Err(SrbError::NotFound(_)) if flags == OpenFlags::CreateRw => {
-                        let id = self.mcat.create_obj(&p, &self.cfg.resource)?;
-                        self.vault.create(id);
-                        self.mcat.lookup(&p)?
+                let rec = if flags == OpenFlags::CreateRw {
+                    let (rec, created) = self.mcat.create_or_lookup(&p, &self.cfg.resource)?;
+                    if created {
+                        self.vault.create(rec.obj_id);
                     }
-                    Err(e) => return Err(e),
+                    rec
+                } else {
+                    self.mcat.lookup(&p)?
                 };
                 let fd = space.next_fd;
                 space.next_fd += 1;
