@@ -8,7 +8,9 @@
 //! 4. I/O-thread count on ONE connection vs one-thread-per-connection
 //!    (the paper's §4.3 claim that threads need their own TCP streams);
 //! 5. the RTT below which on-the-fly compression stops paying (the §1
-//!    feasibility condition flips sign).
+//!    feasibility condition flips sign);
+//! 6. codec choice on the transoceanic path (§7.3's "more sophisticated
+//!    compression algorithms").
 
 use std::sync::Arc;
 
@@ -16,14 +18,17 @@ use semplar::{
     CompressedWriter, ComputeModel, EngineCfg, File, OpenFlags, Payload, Request, StripeUnit,
     StripedFile,
 };
-use semplar_bench::{with_testbed, Table};
 use semplar_clusters::das2;
 use semplar_compress::Lzf;
 use semplar_netsim::Bw;
 use semplar_runtime::Dur;
 use semplar_workloads::estgen::{generate, EstGenConfig};
 
-fn main() {
+use crate::table::Table;
+use crate::with_testbed;
+
+/// Ablations have one size; `--quick` runs the same sweeps.
+pub(crate) fn run(_quick: bool) {
     streams_sweep();
     window_sweep();
     depth_sweep();
@@ -40,7 +45,7 @@ fn streams_sweep() {
     );
     let mut base = 0.0;
     for streams in [1usize, 2, 4, 8, 16] {
-        let mbps = with_testbed(das2(), 1, move |tb| {
+        let (mbps, _) = with_testbed(das2(), 1, move |tb| {
             let fs = tb.srbfs(0);
             let f = StripedFile::open(
                 &tb.rt,
@@ -82,7 +87,7 @@ fn window_sweep() {
         let mut spec = das2();
         spec.send_window = kib * 1024;
         let cap = spec.send_cap().as_mbps();
-        let mbps = with_testbed(spec, 1, move |tb| {
+        let (mbps, _) = with_testbed(spec, 1, move |tb| {
             let fs = tb.srbfs(0);
             let f = File::open(&tb.rt, &fs, "/w", OpenFlags::CreateRw).unwrap();
             let t0 = tb.rt.now();
@@ -116,7 +121,7 @@ fn depth_sweep() {
     spec.wan_owd = Dur::from_millis(5);
     for depth in [0usize, 1, 2, 4, 8] {
         let d2 = data.clone();
-        let mbps = with_testbed(spec.clone(), 1, move |tb| {
+        let (mbps, _) = with_testbed(spec.clone(), 1, move |tb| {
             let fs = tb.srbfs(0);
             let f = File::open(&tb.rt, &fs, "/z", OpenFlags::CreateRw).unwrap();
             let codec = Lzf;
@@ -151,7 +156,7 @@ fn io_thread_sweep() {
     );
     // N threads sharing ONE connection: requests serialize on the stream.
     for threads in [1usize, 2, 4] {
-        let secs = with_testbed(das2(), 1, move |tb| {
+        let (secs, _) = with_testbed(das2(), 1, move |tb| {
             let fs = tb.srbfs(0);
             let f = File::open_with(
                 &tb.rt,
@@ -181,7 +186,7 @@ fn io_thread_sweep() {
     }
     // One thread per connection: real parallelism.
     for streams in [2usize, 4] {
-        let secs = with_testbed(das2(), 1, move |tb| {
+        let (secs, _) = with_testbed(das2(), 1, move |tb| {
             let fs = tb.srbfs(0);
             let f = StripedFile::open(
                 &tb.rt,
@@ -228,7 +233,7 @@ fn rtt_crossover() {
         let mut spec = das2();
         spec.wan_owd = Dur::from_millis(rtt_ms / 2);
         let d2 = data.clone();
-        let (plain, compressed) = with_testbed(spec, 1, move |tb| {
+        let ((plain, compressed), _) = with_testbed(spec, 1, move |tb| {
             let fs = tb.srbfs(0);
             let run_plain = {
                 let f = File::open(&tb.rt, &fs, "/p", OpenFlags::CreateRw).unwrap();
@@ -300,7 +305,7 @@ fn codec_sweep() {
     ];
     for (name, codec, rate) in arms {
         let d2 = data.clone();
-        let (mbps, ratio) = with_testbed(das2(), 1, move |tb| {
+        let ((mbps, ratio), _) = with_testbed(das2(), 1, move |tb| {
             let fs = tb.srbfs(0);
             let f = File::open(&tb.rt, &fs, "/codec", OpenFlags::CreateRw).unwrap();
             let t0 = tb.rt.now();

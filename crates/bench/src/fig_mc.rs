@@ -9,18 +9,17 @@
 //! checksums equal, no deadlock, bounded divergence queue).
 //!
 //! Exploration is exhaustive up to the bound and fully deterministic, so
-//! the summary is bit-identical across invocations — CI diffs `--quick`
-//! against `results/fig_mc_quick.txt`. The final section injects a
+//! the summary is bit-identical across invocations. The final section injects a
 //! deliberately broken invariant and prints the counterexample schedule
 //! trace the explorer pins on it, demonstrating the replay pipeline.
 
-use semplar_bench::Table;
 use semplar_mc::{
     explore, BrokenInvariant, ExploreCfg, FederationScenario, Scenario, ScriptHook, Strategy,
 };
 
-fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
+use crate::table::Table;
+
+pub(crate) fn run(quick: bool) {
     let (depth, max_executions) = if quick { (14, 1500) } else { (20, 8000) };
     let seed = 7u64;
     let scenario = FederationScenario::quick(seed);

@@ -617,72 +617,6 @@ mod tests {
         );
     }
 
-    /// Goodput-weighted block *sizes*: on two streams of very different
-    /// bandwidth, `StripeUnit::AdaptiveSized` issues smaller blocks on the
-    /// slow stream once the meters warm up — not just fewer of them.
-    #[test]
-    fn adaptive_sized_shrinks_blocks_on_the_slow_stream() {
-        simulate(|rt| {
-            let net = Network::new(rt.clone());
-            let mut routes = Vec::new();
-            for (i, cap) in [None, Some(Bw::mbps(4.0))].into_iter().enumerate() {
-                let up = net.add_link(&format!("up{i}"), Bw::mbps(100.0), Dur::from_millis(5));
-                let down = net.add_link(&format!("down{i}"), Bw::mbps(100.0), Dur::from_millis(5));
-                routes.push(ConnRoute {
-                    fwd: vec![up],
-                    rev: vec![down],
-                    send_cap: cap,
-                    recv_cap: cap,
-                    bus: None,
-                });
-            }
-            let server = SrbServer::new(net, SrbServerCfg::default());
-            server.mcat().add_user("u", "p");
-            let fs = SrbFs::with_stream_routes(
-                server,
-                SrbFsConfig {
-                    route: routes[0].clone(),
-                    user: "u".into(),
-                    password: "p".into(),
-                },
-                routes,
-                semplar_srb::PoolPolicy::PerOpen,
-                semplar_srb::RetryPolicy::default(),
-            );
-            let f = StripedFile::open(
-                &rt,
-                &fs,
-                "/sized",
-                OpenFlags::CreateRw,
-                2,
-                StripeUnit::AdaptiveSized {
-                    block: 64 * 1024,
-                    min_block: 4 * 1024,
-                },
-            )
-            .unwrap();
-            // Warm-up pass: with no telemetry yet both streams tile at the
-            // full block size, and the meters learn the 25x goodput gap.
-            f.write_at(0, Payload::sized(1 << 20)).unwrap();
-            let warm = f.stripe_stats();
-            // Measured pass: block sizes now follow the goodput weights.
-            f.write_at(1 << 20, Payload::sized(2 << 20)).unwrap();
-            let s = f.stripe_stats();
-            let avg = |i: usize| {
-                (s.bytes[i] - warm.bytes[i]) as f64 / (s.blocks[i] - warm.blocks[i]).max(1) as f64
-            };
-            let (fast, slow) = (avg(0), avg(1));
-            // WFQ migration mixes some full-size blocks onto the slow
-            // stream, so compare averages with a margin rather than the
-            // raw scaled sizes.
-            assert!(
-                slow < fast * 0.8,
-                "slow stream should get smaller blocks on average: fast avg {fast:.0} B, slow avg {slow:.0} B"
-            );
-            f.close().unwrap();
-        });
-    }
-
     /// Build a server+fs pair (no stream caps) so tests can reach the
     /// server for fault injection and server-side checksums.
     fn srb_pair(rt: &Arc<dyn Runtime>) -> (Arc<semplar_srb::SrbServer>, Arc<SrbFs>) {

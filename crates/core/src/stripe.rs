@@ -91,21 +91,6 @@ pub enum StripeUnit {
         /// Block size in bytes (the scheduling granule).
         block: u64,
     },
-    /// [`StripeUnit::Adaptive`] scheduling with goodput-weighted block
-    /// *sizes*: when an operation's layout is computed, each stream's block
-    /// is scaled by its EWMA goodput relative to the fastest sibling
-    /// (floored at `min_block`), so a slow stream receives smaller blocks —
-    /// not just fewer — and per-block service times stay balanced. With
-    /// uniform goodput, or before any telemetry exists, every weight is 1.0
-    /// and the tiling (and therefore the whole operation) is bit-identical
-    /// to `Adaptive { block }`.
-    AdaptiveSized {
-        /// Full block size, given to the fastest stream.
-        block: u64,
-        /// Floor for scaled-down blocks — a crawling stream still gets
-        /// blocks big enough to amortize per-exchange overhead.
-        min_block: u64,
-    },
 }
 
 /// Placement ledger of the adaptive scheduler, accumulated over every
@@ -621,10 +606,6 @@ impl StripedFile {
         if let StripeUnit::Bytes(u) | StripeUnit::Adaptive { block: u } = unit {
             assert!(u >= 1, "stripe unit must be positive");
         }
-        if let StripeUnit::AdaptiveSized { block, min_block } = unit {
-            assert!(block >= 1 && min_block >= 1, "stripe unit must be positive");
-            assert!(min_block <= block, "min_block must not exceed block");
-        }
         let mut files = Vec::with_capacity(streams);
         for i in 0..streams {
             // Pinned: stream `i` takes pool slot `i`, so under a shared
@@ -733,64 +714,8 @@ impl StripedFile {
                     stream += 1;
                 }
             }
-            StripeUnit::AdaptiveSized {
-                block: unit,
-                min_block,
-            } => {
-                // Goodput-weighted block sizes, from a weight snapshot
-                // taken when the layout is computed (meters persist across
-                // operations on one file, so a warmed-up meter steers the
-                // next op's tiling). Homes still advance round-robin.
-                let weights = self.size_weights();
-                let mut off = offset;
-                let end = offset + len;
-                let mut rr = (offset / unit) % n;
-                while off < end {
-                    let stream = rr as usize;
-                    let w = weights[stream];
-                    let scaled = if w >= 1.0 {
-                        unit
-                    } else {
-                        ((unit as f64 * w) as u64).max(min_block)
-                    };
-                    // Uniform case stays bit-identical to `Adaptive`: the
-                    // first block is shortened to the next unit boundary.
-                    let this = if off == offset && !off.is_multiple_of(unit) && scaled == unit {
-                        unit - off % unit
-                    } else {
-                        scaled
-                    };
-                    let blen = this.min(end - off);
-                    out.push((stream, off, blen));
-                    off += blen;
-                    rr = (rr + 1) % n;
-                }
-            }
         }
         out
-    }
-
-    /// Per-stream size weights for [`StripeUnit::AdaptiveSized`]: EWMA
-    /// goodput relative to the fastest sibling. Streams without telemetry
-    /// (or whose meter has not warmed up) weigh 1.0, matching the
-    /// scheduler's optimistic treatment of unmeasured streams — so with no
-    /// telemetry at all the weights are all 1.0 and the tiling degenerates
-    /// to exactly `Adaptive { block }`.
-    fn size_weights(&self) -> Vec<f64> {
-        let mut bps = vec![0.0f64; self.files.len()];
-        let mut max = 0.0f64;
-        for (i, m) in self.meters.iter().enumerate() {
-            if let Some(m) = m {
-                let g = m.snapshot().goodput_bps;
-                if g > 0.0 {
-                    bps[i] = g;
-                    max = max.max(g);
-                }
-            }
-        }
-        bps.into_iter()
-            .map(|b| if b > 0.0 && max > 0.0 { b / max } else { 1.0 })
-            .collect()
     }
 
     /// Asynchronous striped write: every block is queued on its stream's
@@ -800,10 +725,7 @@ impl StripedFile {
     /// completions land).
     pub fn iwrite_at(&self, offset: u64, data: Payload) -> MultiRequest {
         let layout = self.blocks(offset, data.len());
-        if matches!(
-            self.unit,
-            StripeUnit::Adaptive { .. } | StripeUnit::AdaptiveSized { .. }
-        ) {
+        if matches!(self.unit, StripeUnit::Adaptive { .. }) {
             return self.adaptive_request(layout, offset, Some(data));
         }
         let reqs = layout
@@ -828,10 +750,7 @@ impl StripedFile {
     /// Asynchronous striped read.
     pub fn iread_at(&self, offset: u64, len: u64) -> MultiRequest {
         let layout = self.blocks(offset, len);
-        if matches!(
-            self.unit,
-            StripeUnit::Adaptive { .. } | StripeUnit::AdaptiveSized { .. }
-        ) {
+        if matches!(self.unit, StripeUnit::Adaptive { .. }) {
             return self.adaptive_request(layout, offset, None);
         }
         let reqs = layout
@@ -1064,7 +983,7 @@ mod tests {
         #[test]
         fn blocks_tile_the_range_exactly(
             streams in 1usize..6,
-            unit_kind in 0u8..4,
+            unit_kind in 0u8..3,
             unit_bytes in 1u64..5000,
             offset in 0u64..100_000,
             len in 1u64..200_000,
@@ -1072,11 +991,7 @@ mod tests {
             let unit = match unit_kind {
                 0 => StripeUnit::Bytes(unit_bytes),
                 1 => StripeUnit::Even,
-                2 => StripeUnit::Adaptive { block: unit_bytes },
-                _ => StripeUnit::AdaptiveSized {
-                    block: unit_bytes,
-                    min_block: 1 + unit_bytes / 8,
-                },
+                _ => StripeUnit::Adaptive { block: unit_bytes },
             };
             let blocks = layout_for(streams, unit, offset, len);
             prop_assert!(!blocks.is_empty());
@@ -1166,27 +1081,6 @@ mod tests {
             }
             prop_assert_eq!(&stats.blocks, &rr, "per-stream counts differ from RR");
             prop_assert_eq!(stats.bytes.iter().sum::<u64>(), len);
-        }
-
-        /// With uniform goodput the sized-adaptive tiling is pinned to be
-        /// bit-identical to `Adaptive { block }` — block sizes only shrink
-        /// when telemetry says a stream is slower than its siblings.
-        #[test]
-        fn adaptive_sized_uniform_matches_adaptive(
-            streams in 1usize..5,
-            block in 64u64..2048,
-            min_frac in 1u64..8,
-            offset in 0u64..10_000,
-            len in 1u64..50_000,
-        ) {
-            let sized = layout_for(
-                streams,
-                StripeUnit::AdaptiveSized { block, min_block: (block / min_frac).max(1) },
-                offset,
-                len,
-            );
-            let plain = layout_for(streams, StripeUnit::Adaptive { block }, offset, len);
-            prop_assert_eq!(sized, plain);
         }
 
         /// Striped list ops round-trip arbitrary disjoint extent lists and
