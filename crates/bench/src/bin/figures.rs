@@ -6,9 +6,9 @@
 //!
 //! Runs each `--only` figure in the order given, or every registered
 //! figure when there is none, printing its tables to stdout. `--quick`
-//! selects each figure's small sweep. Each figure's wall time goes to
-//! stderr, so stdout stays byte-identical to the committed
-//! `results/NAME[_quick].txt`.
+//! selects each figure's small sweep. Each figure's wall time and the
+//! process's peak resident set so far go to stderr, so stdout stays
+//! byte-identical to the committed `results/NAME[_quick].txt`.
 
 use std::process::ExitCode;
 use std::time::Instant;
@@ -22,6 +22,21 @@ fn usage(error: &str) -> ExitCode {
         names.join(" ")
     );
     ExitCode::from(2)
+}
+
+/// The process's peak resident set size (`VmHWM`) in MiB, if
+/// `/proc/self/status` can be read. It is a high-water mark: when one
+/// process runs several figures it covers every figure so far.
+fn peak_rss_mib() -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kib: f64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))?
+        .split_whitespace()
+        .next()?
+        .parse()
+        .ok()?;
+    Some(kib / 1024.0)
 }
 
 fn main() -> ExitCode {
@@ -49,11 +64,14 @@ fn main() -> ExitCode {
     for f in only {
         let t0 = Instant::now();
         (f.run)(quick);
+        let took = t0.elapsed().as_secs_f64();
+        let peak = peak_rss_mib()
+            .map(|mib| format!(", peak RSS {mib:.0} MiB"))
+            .unwrap_or_default();
         eprintln!(
-            "figures: {}{} took {:.1} s",
+            "figures: {}{} took {took:.1} s{peak}",
             f.name,
             if quick { " --quick" } else { "" },
-            t0.elapsed().as_secs_f64()
         );
     }
     ExitCode::SUCCESS

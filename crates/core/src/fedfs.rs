@@ -321,10 +321,16 @@ impl FedFs {
             // Every session of either seat's mount follows the shard epoch.
             m.register_stamp(i, s.primary.epoch_stamp());
             m.register_stamp(i, s.replica.epoch_stamp());
-            let fed = self.clone();
+            // `self.membership` owns `m`, so the hook holds a `Weak`: a
+            // dropped FedFs has no divergence queue left to hand over.
+            let fed = Arc::downgrade(self);
             m.set_promotion_hook(
                 i,
-                Arc::new(move |shard, _epoch, new_primary| fed.on_promoted(shard, new_primary)),
+                Arc::new(move |shard, _epoch, new_primary| {
+                    fed.upgrade()
+                        .map(|fed| fed.on_promoted(shard, new_primary))
+                        .unwrap_or_default()
+                }),
             );
         }
         *self.membership.lock() = Some(m.clone());

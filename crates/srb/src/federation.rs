@@ -222,8 +222,15 @@ impl Replicator {
             skipped: AtomicU64::new(0),
             high_water: AtomicU64::new(0),
         });
-        let hook = repl.clone();
+        // The hook lives on the primary, which `repl.primary` owns: a
+        // strong capture would make primary → hook → replicator → primary a
+        // cycle and pin the whole world. The daemon holds the strong `Arc`,
+        // so the upgrade succeeds for as long as replication runs.
+        let hook = Arc::downgrade(&repl);
         primary.set_write_hook(Arc::new(move |path, offset, len| {
+            let Some(hook) = hook.upgrade() else {
+                return;
+            };
             if !hook.active.load(Ordering::SeqCst) {
                 return;
             }

@@ -238,6 +238,13 @@ impl Membership {
     }
 
     /// Install the promotion callback for `shard` (see [`PromotionHook`]).
+    ///
+    /// The membership owns the hook, so a hook must not own this
+    /// `Membership`, directly or through a chain of `Arc`s — for example
+    /// an object that keeps the membership handle, as `FedFs` does. That
+    /// would be a reference cycle that outlives the simulation. Capture a
+    /// `Weak` instead and return an empty backlog when it no longer
+    /// upgrades.
     pub fn set_promotion_hook(&self, shard: usize, hook: PromotionHook) {
         *self.shards[shard].hook.lock() = Some(hook);
     }

@@ -416,12 +416,21 @@ impl SrbServer {
     /// queue and client lease revocation each register one and all of them
     /// fire per write, in registration order. A hook runs on the
     /// connection-handler actor and must not block.
+    ///
+    /// A hook must not own, directly or through a chain of `Arc`s, this
+    /// server: the server owns the hook, so the pair would be a reference
+    /// cycle that outlives the simulation. Capture a `Weak` instead and
+    /// return early when it no longer upgrades (see
+    /// [`Replicator`](crate::federation::Replicator), whose `primary` is
+    /// the server its hook is registered on).
     pub fn set_write_hook(&self, hook: WriteHook) {
         self.write_hooks.lock().push(hook);
     }
 
     /// Register an observer for out-of-band [`LeaseBreak`] events (unlink,
-    /// server crash). Hooks accumulate, like write hooks.
+    /// server crash). Hooks accumulate, like write hooks, and follow the
+    /// same ownership rule: a hook must not own this server, directly or
+    /// indirectly; capture a `Weak` instead.
     pub fn add_lease_break_hook(&self, hook: LeaseBreakHook) {
         self.lease_breaks.lock().push(hook);
     }
