@@ -167,16 +167,28 @@ impl<'a> CompressedWriter<'a> {
     }
 
     /// Append data to the stream; full blocks are compressed and dispatched.
+    /// Whole blocks are compressed straight from `data`; only a partial
+    /// block is copied, into the pending tail.
     pub fn write(&mut self, mut data: &[u8]) -> IoResult<()> {
-        while !data.is_empty() {
+        if !self.pending.is_empty() {
             let take = (self.block - self.pending.len()).min(data.len());
             self.pending.extend_from_slice(&data[..take]);
             data = &data[take..];
-            if self.pending.len() == self.block {
-                let block = std::mem::take(&mut self.pending);
-                self.dispatch(&block)?;
+            if self.pending.len() < self.block {
+                return Ok(());
             }
+            let mut block = std::mem::take(&mut self.pending);
+            let sent = self.dispatch(&block);
+            block.clear();
+            self.pending = block;
+            sent?;
         }
+        while data.len() >= self.block {
+            let (block, rest) = data.split_at(self.block);
+            self.dispatch(block)?;
+            data = rest;
+        }
+        self.pending.extend_from_slice(data);
         Ok(())
     }
 
@@ -483,5 +495,68 @@ mod tests {
             assert_eq!(back, data);
             f.close().unwrap();
         });
+    }
+
+    use proptest::prelude::*;
+
+    /// Write `data` through a fresh writer, in pieces ending at the sorted
+    /// `cuts`, and return the raw stream on the file, the writer's byte
+    /// counts and the stream read back.
+    fn ship(
+        rt: &std::sync::Arc<dyn semplar_runtime::Runtime>,
+        fs: &dyn crate::adio::AdioFs,
+        path: &str,
+        data: &[u8],
+        cuts: &[usize],
+        block: usize,
+    ) -> (Vec<u8>, (u64, u64), Vec<u8>) {
+        let codec = Lzf;
+        let f = File::open(rt, fs, path, OpenFlags::CreateRw).unwrap();
+        let mut w = CompressedWriter::new(&f, &codec).block_size(block);
+        let mut from = 0;
+        for &cut in cuts.iter().chain(std::iter::once(&data.len())) {
+            w.write(&data[from..cut]).unwrap();
+            from = cut;
+        }
+        let counts = w.finish().unwrap();
+        let raw = f.read_at(0, counts.1).unwrap();
+        let raw = raw.data().expect("real bytes").to_vec();
+        let back = CompressedReader::read_all(&f, &codec).unwrap();
+        f.close().unwrap();
+        (raw, counts, back)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Block framing depends only on the byte stream, never on how the
+        /// caller slices it: one `write` and many random-sized ones (some
+        /// empty, some spanning several blocks) ship identical frames.
+        #[test]
+        fn split_writes_ship_identical_frames(
+            unit in proptest::collection::vec(0u8..4, 1..40),
+            len in 0usize..24_000,
+            cuts in proptest::collection::vec(0usize..24_000, 0..12),
+            block in 256usize..5000,
+        ) {
+            let data: Vec<u8> = unit
+                .iter()
+                .cycle()
+                .take(len)
+                .enumerate()
+                .map(|(k, &u)| if k % 97 == 0 { b'N' } else { b"ACGT"[u as usize] })
+                .collect();
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(len)).collect();
+            cuts.sort_unstable();
+            simulate(move |rt| {
+                let fs = MemFs::new(rt.clone());
+                let whole = ship(&rt, &fs, "/whole", &data, &[], block);
+                let split = ship(&rt, &fs, "/split", &data, &cuts, block);
+                prop_assert_eq!(whole.1, (len as u64, whole.0.len() as u64));
+                prop_assert!(whole.0 == split.0, "frames differ");
+                prop_assert_eq!(whole.1, split.1);
+                prop_assert!(whole.2 == data && split.2 == data, "read back differs");
+            });
+        }
     }
 }
